@@ -4,16 +4,13 @@ Run: python jobs/assignment_convergence.py [--experiment end_to_end|heuristics]
      [--dataset restaurant|celebrity|emotion] [--seeds N]
 """
 import argparse
-import sys
 
-sys.path.insert(0, ".")
-from _session import get_spark  # noqa: E402
-
-from repro.crowd.simulator import SimConfig  # noqa: E402
-from repro.harness.assignment_tables import (  # noqa: E402
+from repro.crowd.simulator import SimConfig
+from repro.harness.assignment_tables import (
     build_assignment_table,
     format_assignment_table,
 )
+from repro.session import build_session
 
 
 def main() -> None:
@@ -23,7 +20,7 @@ def main() -> None:
     ap.add_argument("--dataset", default="restaurant")
     ap.add_argument("--seeds", type=int, default=2)
     args = ap.parse_args()
-    spark = get_spark("assignment")
+    spark = build_session("assignment")
     cfg = SimConfig(
         batch_size=5,
         max_answers_per_task=4.0,

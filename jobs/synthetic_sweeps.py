@@ -4,12 +4,9 @@ Run: python jobs/synthetic_sweeps.py [--experiment columns|ratio|difficulty|nois
      [--reps N]
 """
 import argparse
-import sys
 
-sys.path.insert(0, ".")
-from _session import get_spark  # noqa: E402
-
-from repro.harness.sweeps import SWEEP_VALUES, build_sweep, format_sweep  # noqa: E402
+from repro.harness.sweeps import SWEEP_VALUES, build_sweep, format_sweep
+from repro.session import build_session
 
 
 def main() -> None:
@@ -18,7 +15,7 @@ def main() -> None:
                     choices=[*SWEEP_VALUES.keys(), "all"])
     ap.add_argument("--reps", type=int, default=10)
     args = ap.parse_args()
-    spark = get_spark("sweeps")
+    spark = build_session("sweeps")
     exps = list(SWEEP_VALUES) if args.experiment == "all" else [args.experiment]
     for exp in exps:
         table = build_sweep(spark, exp, n_reps=args.reps)

@@ -1,14 +1,10 @@
 """Reproduce Table 6 (dataset statistics). Run: python jobs/table6_dataset_stats.py"""
-import sys
-
-sys.path.insert(0, ".")
-from _session import get_spark  # noqa: E402
-
-from repro.harness.table6 import build_table6, format_table6  # noqa: E402
+from repro.harness.table6 import build_table6, format_table6
+from repro.session import build_session
 
 
 def main() -> None:
-    spark = get_spark("table6")
+    spark = build_session("table6")
     measured = build_table6(spark)
     print(format_table6(measured))
     spark.stop()

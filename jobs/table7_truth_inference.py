@@ -3,19 +3,16 @@
 Run: python jobs/table7_truth_inference.py [--seeds N]
 """
 import argparse
-import sys
 
-sys.path.insert(0, ".")
-from _session import get_spark  # noqa: E402
-
-from repro.harness.table7 import build_table7, format_table7  # noqa: E402
+from repro.harness.table7 import build_table7, format_table7
+from repro.session import build_session
 
 
 def main() -> None:
     ap = argparse.ArgumentParser()
     ap.add_argument("--seeds", type=int, default=5, help="generator replicates")
     args = ap.parse_args()
-    spark = get_spark("table7")
+    spark = build_session("table7")
     measured = build_table7(spark, n_seeds=args.seeds)
     print(format_table7(measured))
     spark.stop()

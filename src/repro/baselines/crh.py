@@ -10,21 +10,14 @@ squared distance normalised by the column's answer std for continuous
 columns. Truth updates are weighted votes (categorical) and weighted means
 (continuous). Initialisation is MV/median.
 
-Two engines:
-
-* :func:`crh` — pandas kernel (uniform baseline signature);
-* :func:`crh_spark` — the same iteration expressed as a Spark DataFrame
-  loop (join answers ↔ current truth, aggregate losses per worker,
-  broadcast-join weights back, weighted re-aggregate). Demonstrates the
-  baseline as a distributed dataflow and is tested to agree with the
-  pandas kernel.
+:func:`crh` is a pandas kernel with the uniform baseline signature
+``fn(answers, schema) -> (row, col, truth)``; the harnesses fan it out over
+Spark inside ``applyInPandas``.
 """
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, Window
-from pyspark.sql import functions as F
 
 from ..crowd.schema import TableSchema
 from .voting import mv_median
@@ -119,66 +112,3 @@ def crh_worker_weights(
     return pd.DataFrame(
         {"worker": loss.index, "weight": np.log(float(loss.sum()) / loss.to_numpy())}
     )
-
-
-# ---------------------------------------------------------------------------
-# Spark dataflow engine.
-# ---------------------------------------------------------------------------
-
-def crh_spark(
-    answers: DataFrame, schema: TableSchema, *, max_iter: int = 20
-) -> DataFrame:
-    """CRH as an iterative Spark DataFrame pipeline; returns (row, col, truth)."""
-    from .voting import mv_median_spark
-
-    spark = answers.sparkSession
-    cat_cols = schema.categorical_idx
-    sd_df = F.broadcast(
-        answers.where(F.col("col").isin(schema.continuous_idx))
-        .groupBy("col")
-        .agg(F.greatest(F.stddev_pop("value"), F.lit(_EPS)).alias("sd"))
-    )
-    a = answers.join(sd_df, "col", "left").withColumn(
-        "is_cat", F.col("col").isin(cat_cols)
-    )
-    a = a.cache()
-    truth = mv_median_spark(answers, schema).cache()
-    truth.count()
-
-    for _ in range(max_iter):
-        m = a.join(truth, ["row", "col"])
-        err = F.when(
-            F.col("is_cat"), (F.round("value") != F.round("truth")).cast("double")
-        ).otherwise(((F.col("value") - F.col("truth")) / F.col("sd")) ** 2)
-        loss = m.groupBy("worker").agg((F.sum(err) + F.lit(_EPS)).alias("loss"))
-        total = loss.agg(F.sum("loss").alias("t")).first()["t"]
-        wdf = F.broadcast(
-            loss.select(
-                "worker",
-                F.greatest(F.log(F.lit(total) / F.col("loss")), F.lit(_EPS)).alias("w"),
-            )
-        )
-        aw = a.join(wdf, "worker")
-        wv = Window.partitionBy("row", "col").orderBy(
-            F.desc("wsum"), F.asc("label")
-        )
-        tv = (
-            aw.where(F.col("is_cat"))
-            .withColumn("label", F.round("value"))
-            .groupBy("row", "col", "label")
-            .agg(F.sum("w").alias("wsum"))
-            .withColumn("rk", F.row_number().over(wv))
-            .where(F.col("rk") == 1)
-            .select("row", "col", F.col("label").cast("double").alias("truth"))
-        )
-        tc = (
-            aw.where(~F.col("is_cat"))
-            .groupBy("row", "col")
-            .agg((F.sum(F.col("w") * F.col("value")) / F.sum("w")).alias("truth"))
-        )
-        new_truth = tv.unionByName(tc).cache()
-        new_truth.count()
-        truth.unpersist()
-        truth = new_truth
-    a.unpersist()
-    return truth

@@ -1,18 +1,16 @@
 """Quality-agnostic baselines: Majority Voting and Median (§2, §6.2).
 
-Both come as pandas kernels (uniform baseline signature
-``fn(answers, schema) -> (row, col, truth)``) and as Spark SQL
-aggregations used by the harness; the Spark paths are verified against
-DuckDB by the oracle tests (tests/test_voting.py).
+Both are pandas kernels with the uniform baseline signature
+``fn(answers, schema) -> (row, col, truth)``; the harnesses fan them out over
+Spark inside ``applyInPandas``. Their results are verified against DuckDB
+SQL by the oracle tests (tests/test_voting.py).
 
 Tie-breaking for MV is deterministic: smallest label code among the
-modal labels, on both engines and in the DuckDB oracle queries.
+modal labels, in the kernel and in the DuckDB oracle queries.
 """
 from __future__ import annotations
 
 import pandas as pd
-from pyspark.sql import DataFrame, Window
-from pyspark.sql import functions as F
 
 from ..crowd.schema import TableSchema, restrict_answers
 
@@ -54,38 +52,3 @@ def mv_median(answers: pd.DataFrame, schema: TableSchema) -> pd.DataFrame:
     if not parts:
         return pd.DataFrame(columns=["row", "col", "truth"])
     return pd.concat(parts).sort_values(["row", "col"]).reset_index(drop=True)
-
-
-# ---------------------------------------------------------------------------
-# Spark SQL flavour.
-# ---------------------------------------------------------------------------
-
-def majority_vote_spark(answers: DataFrame, schema: TableSchema) -> DataFrame:
-    cat = schema.categorical_idx
-    counts = (
-        answers.where(F.col("col").isin(cat))
-        .withColumn("label", F.round("value"))
-        .groupBy("row", "col", "label")
-        .agg(F.count("*").alias("n"))
-    )
-    w = Window.partitionBy("row", "col").orderBy(F.desc("n"), F.asc("label"))
-    return (
-        counts.withColumn("rk", F.row_number().over(w))
-        .where(F.col("rk") == 1)
-        .select("row", "col", F.col("label").cast("double").alias("truth"))
-    )
-
-
-def median_vote_spark(answers: DataFrame, schema: TableSchema) -> DataFrame:
-    cont = schema.continuous_idx
-    return (
-        answers.where(F.col("col").isin(cont))
-        .groupBy("row", "col")
-        .agg(F.median("value").alias("truth"))
-    )
-
-
-def mv_median_spark(answers: DataFrame, schema: TableSchema) -> DataFrame:
-    return majority_vote_spark(answers, schema).unionByName(
-        median_vote_spark(answers, schema)
-    )

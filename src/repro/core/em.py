@@ -1,4 +1,4 @@
-"""T-Crowd truth inference (paper §4) — the numpy kernel.
+"""T-Crowd truth inference (paper §4): the EM driver and the numpy engine.
 
 Implements the unified worker-quality EM:
 
@@ -12,9 +12,13 @@ Implements the unified worker-quality EM:
 * M-step (Eq. 5): gradient ascent on ``Q(α, β, φ)`` in log-parameter space,
   with per-answer gradients scatter-added to their row/column/worker.
 
-The same per-column E-step kernels are reused verbatim by the Spark engine
-(`core/spark_em.py`) inside ``applyInPandas``, so the two implementations
-agree to float tolerance (tested in tests/test_spark_em.py).
+:func:`fit_em` is the one EM driver (priors, initial state, the E → M loop,
+convergence, worker quality). An engine hands it its column moments, its
+row and worker counts and an E-step; :func:`tcrowd_em` runs the E-step
+in-process, and the Spark engine (`core/spark_em.py`) runs the same
+per-column E-step kernels inside ``applyInPandas``. The two engines
+therefore differ only in summation order and agree to float tolerance
+(tested in tests/test_spark_em.py).
 
 Identifiability: ``α β φ`` is invariant under rescaling, so after each
 M-step we renormalise ``mean(ln α) = mean(ln φ) = 0``, folding both scales
@@ -23,6 +27,7 @@ into β (DESIGN.md §5).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 import pandas as pd
@@ -280,34 +285,114 @@ def m_step(
 
 
 # ---------------------------------------------------------------------------
-# Full EM driver.
+# The EM driver (shared by both engines).
 # ---------------------------------------------------------------------------
 
-def column_priors(answers: pd.DataFrame, schema: TableSchema) -> dict:
-    """Empirical Gaussian prior (μ⁰_j, φ⁰_j) per continuous column (§4.3)."""
+def answer_moments(answers: pd.DataFrame) -> dict:
+    """``col -> (count, mean, population variance)`` of the answer values,
+    over the columns that have answers."""
+    moments = {}
+    for j, group in answers.groupby("col")["value"]:
+        vals = group.to_numpy()
+        moments[int(j)] = (len(vals), float(vals.mean()), float(vals.var()))
+    return moments
+
+
+def column_priors(moments: dict, schema: TableSchema) -> dict:
+    """Empirical Gaussian prior (μ⁰_j, φ⁰_j) per continuous column (§4.3);
+    a column without answers gets a prior spanning its domain."""
     priors = {}
     for j in schema.continuous_idx:
-        vals = answers.loc[answers["col"] == j, "value"].to_numpy()
-        if len(vals) == 0:
+        if j in moments:
+            _, mean, var = moments[j]
+            priors[j] = (mean, max(var, 1e-6))
+        else:
             lo, hi = schema.column(j).domain
             priors[j] = ((lo + hi) / 2.0, max(((hi - lo) / 4.0) ** 2, 1e-6))
-        else:
-            priors[j] = (float(vals.mean()), max(float(vals.var()), 1e-6))
     return priors
 
 
 def init_state(
-    answers: pd.DataFrame, schema: TableSchema, n_rows: int, n_workers: int
+    moments: dict, schema: TableSchema, n_rows: int, n_workers: int
 ) -> EMState:
     """α = φ = 1; β_j = per-column answer variance for continuous columns
-    (so the initial α β φ matches the column's scale), 1 for categorical."""
+    with more than one answer (so the initial α β φ matches the column's
+    scale), 1 otherwise."""
     ln_beta = np.zeros(schema.n_cols)
     for j in schema.continuous_idx:
-        vals = answers.loc[answers["col"] == j, "value"].to_numpy()
-        if len(vals) > 1:
-            ln_beta[j] = np.log(max(float(vals.var()), 1e-6))
+        n, _, var = moments.get(j, (0, 0.0, 0.0))
+        if n > 1:
+            ln_beta[j] = np.log(max(var, 1e-6))
     return EMState(np.zeros(n_rows), ln_beta, np.zeros(n_workers))
 
+
+@dataclass
+class EMFit:
+    """What :func:`fit_em` hands back to the engine that called it."""
+
+    state: EMState
+    priors: dict
+    worker_quality: np.ndarray
+    n_iters: int
+    converged: bool
+    q_trace: list
+
+
+def fit_em(
+    estep_stats: Callable[[EMState, dict], dict],
+    moments: dict,
+    schema: TableSchema,
+    n_rows: int,
+    n_workers: int,
+    *,
+    eps: float,
+    max_iter: int,
+    tol: float,
+    warm_state: EMState | None = None,
+    **m_step_kw,
+) -> EMFit:
+    """Algorithm 1 for any engine: priors, initial state, then E-step →
+    M-step until no log-parameter moves by ``tol``.
+
+    An engine supplies its :func:`answer_moments`, its row and worker
+    counts, and ``estep_stats(state, priors)``, which runs one E-step and
+    returns the per-answer statistics dict that :func:`m_step` consumes.
+    ``m_step_kw`` are passed to every M-step.
+    """
+    if not moments:
+        raise ValueError("no answers to infer from")
+    priors = column_priors(moments, schema)
+    if warm_state is None:
+        state = init_state(moments, schema, n_rows, n_workers)
+    else:  # rows and workers new since the warm state start at α = φ = 1
+        state = EMState(
+            np.pad(warm_state.ln_alpha, (0, max(n_rows - len(warm_state.ln_alpha), 0))),
+            warm_state.ln_beta.copy(),
+            np.pad(warm_state.ln_phi, (0, max(n_workers - len(warm_state.ln_phi), 0))),
+        )
+
+    q_trace: list[float] = []
+    converged = False
+    it = 0
+    for it in range(1, max_iter + 1):
+        new_state, q_val = m_step(estep_stats(state, priors), state, eps, **m_step_kw)
+        q_trace.append(q_val)
+        moved = max(
+            np.abs(new_state.ln_alpha - state.ln_alpha).max(initial=0.0),
+            np.abs(new_state.ln_beta - state.ln_beta).max(initial=0.0),
+            np.abs(new_state.ln_phi - state.ln_phi).max(initial=0.0),
+        )
+        state = new_state
+        if moved < tol:
+            converged = True
+            break
+    quality = np.asarray(erf(eps / np.sqrt(2.0 * np.exp(state.ln_phi))), dtype=np.float64)
+    return EMFit(state, priors, quality, it, converged, q_trace)
+
+
+# ---------------------------------------------------------------------------
+# The numpy engine.
+# ---------------------------------------------------------------------------
 
 def run_estep(
     answers: pd.DataFrame, schema: TableSchema, state: EMState, priors: dict, eps: float
@@ -401,58 +486,39 @@ def tcrowd_em(
     reg_phi: float = 0.5,
     warm_state: EMState | None = None,
 ) -> TCrowdResult:
-    """Full T-Crowd truth inference (Algorithm 1).
+    """Full T-Crowd truth inference (Algorithm 1), in-process.
 
     ``warm_state`` lets the online simulator resume from the previous
     parameters after collecting a few more answers.
     """
-    if len(answers) == 0:
-        raise ValueError("no answers to infer from")
-    n_rows = n_rows if n_rows is not None else int(answers["row"].max()) + 1
-    n_workers = n_workers if n_workers is not None else int(answers["worker"].max()) + 1
-    priors = column_priors(answers, schema)
-    state = warm_state.copy() if warm_state is not None else init_state(
-        answers, schema, n_rows, n_workers
+    if n_rows is None:
+        n_rows = int(answers["row"].to_numpy().max(initial=-1)) + 1
+    if n_workers is None:
+        n_workers = int(answers["worker"].to_numpy().max(initial=-1)) + 1
+    fit = fit_em(
+        lambda state, priors: run_estep(answers, schema, state, priors, eps)[2],
+        answer_moments(answers),
+        schema,
+        n_rows,
+        n_workers,
+        eps=eps,
+        max_iter=max_iter,
+        tol=tol,
+        warm_state=warm_state,
+        grad_iters=grad_iters,
+        reg_alpha=reg_alpha,
+        reg_phi=reg_phi,
     )
-    if warm_state is not None and (
-        len(state.ln_alpha) < n_rows or len(state.ln_phi) < n_workers
-    ):
-        state = EMState(
-            np.pad(state.ln_alpha, (0, n_rows - len(state.ln_alpha))),
-            state.ln_beta,
-            np.pad(state.ln_phi, (0, n_workers - len(state.ln_phi))),
-        )
-
-    q_trace: list[float] = []
-    converged = False
-    it = 0
-    for it in range(1, max_iter + 1):
-        cont_cells, cat_cells, stats = run_estep(answers, schema, state, priors, eps)
-        new_state, q_val = m_step(
-            stats, state, eps, grad_iters=grad_iters, reg_alpha=reg_alpha,
-            reg_phi=reg_phi,
-        )
-        q_trace.append(q_val)
-        moved = max(
-            np.abs(new_state.ln_alpha - state.ln_alpha).max(initial=0.0),
-            np.abs(new_state.ln_beta - state.ln_beta).max(initial=0.0),
-            np.abs(new_state.ln_phi - state.ln_phi).max(initial=0.0),
-        )
-        state = new_state
-        if moved < tol:
-            converged = True
-            break
     # Final E-step with the converged parameters.
-    cont_cells, cat_cells, _ = run_estep(answers, schema, state, priors, eps)
-    quality = np.asarray(erf(eps / np.sqrt(2.0 * np.exp(state.ln_phi))), dtype=np.float64)
+    cont_cells, cat_cells, _ = run_estep(answers, schema, fit.state, fit.priors, eps)
     return TCrowdResult(
-        state=state,
+        state=fit.state,
         truth=result_truth(cont_cells, cat_cells),
         cont_cells=cont_cells,
         cat_cells=cat_cells,
-        worker_quality=quality,
-        n_iters=it,
-        converged=converged,
-        q_trace=q_trace,
-        priors=priors,
+        worker_quality=fit.worker_quality,
+        n_iters=fit.n_iters,
+        converged=fit.converged,
+        q_trace=fit.q_trace,
+        priors=fit.priors,
     )

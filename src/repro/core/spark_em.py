@@ -1,23 +1,25 @@
 """T-Crowd truth inference as a Spark DataFrame pipeline.
 
-One EM iteration is a dataflow over the canonical answers DataFrame
-``(worker, row, col, value)``:
+The EM loop itself is :func:`repro.core.em.fit_em`, the driver the numpy
+engine uses too. This module supplies what it needs from Spark:
 
-1. broadcast-join the answers with three *parameter dimension tables*
-   (``α`` by row, ``β``+column metadata by col, ``φ`` by worker) and the
-   per-column continuous priors — explicitly ``F.broadcast`` because the
-   session fixture disables auto-broadcast;
-2. **E-step**: ``groupBy("col").applyInPandas`` runs the *same* per-column
-   kernels as the numpy engine (`repro.core.em`), emitting one output row
-   per answer, denormalised with its cell's posterior (``t_mu``, ``t_phi``,
-   estimated truth, entropy) — this relation *is* the M-step's
-   sufficient-statistics table;
-3. **M-step**: the statistics are brought to the driver (they are
-   ``O(|A|)`` — the tiny parameter vectors are optimised with the shared
-   log-space gradient ascent, the MLlib "cluster statistics + driver
-   optimiser" pattern).
+* the per-column answer moments and the row/worker counts, from one
+  ``groupBy("col")`` aggregation;
+* the **E-step** as a dataflow over the canonical answers DataFrame
+  ``(worker, row, col, value)``: broadcast-join the answers with three
+  *parameter dimension tables* (``α`` by row, ``β``+column metadata and the
+  continuous priors by col, ``φ`` by worker) — explicitly ``F.broadcast``
+  because the session builder disables auto-broadcast — then
+  ``groupBy("col").applyInPandas`` runs the *same* per-column kernels as the
+  numpy engine, emitting one output row per answer denormalised with its
+  cell's posterior (``t_mu``, ``t_phi``, estimated truth, entropy). This
+  relation *is* the M-step's sufficient-statistics table;
+* the statistics collected to the driver (they are ``O(|A|)``), where the
+  shared log-space gradient ascent optimises the tiny parameter vectors —
+  the MLlib "cluster statistics + driver optimiser" pattern;
+* the final E-step as the lazy ``cells``/``truth`` relations of the result.
 
-Because both engines share the E-step kernels and the M-step optimiser,
+Because both engines share the driver, the E-step kernels and the M-step,
 they agree to float tolerance (the only divergence source is summation
 order); tests/test_spark_em.py asserts this.
 """
@@ -32,13 +34,7 @@ from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
 from ..crowd.schema import TableSchema
-from ..crowd.stats import erf
-from .em import (
-    EMState,
-    estep_categorical_column,
-    estep_continuous_column,
-    m_step,
-)
+from .em import EMState, estep_categorical_column, estep_continuous_column, fit_em
 
 _ESTEP_SCHEMA = T.StructType(
     [
@@ -56,6 +52,17 @@ _ESTEP_SCHEMA = T.StructType(
         T.StructField("t_entropy", T.DoubleType()),
     ]
 )
+
+#: The per-answer statistics the M-step reads, with their numpy dtypes.
+_STATS = {
+    "row": np.int64,
+    "col": np.int64,
+    "worker": np.int64,
+    "is_cat": bool,
+    "s": np.float64,
+    "w": np.float64,
+    "n_labels": np.float64,
+}
 
 
 def _estep_column_kernel(eps: float):
@@ -164,78 +171,50 @@ def tcrowd_em_spark(
     grad_iters: int = 25,
 ) -> SparkEMResult:
     """Full T-Crowd EM with the E-step distributed via Spark (Algorithm 1)."""
-    first = answers.agg(
-        F.max("row").alias("mr"), F.max("worker").alias("mw")
-    ).first()
-    n_rows, n_workers = int(first["mr"]) + 1, int(first["mw"]) + 1
-    # Priors and the β initialisation need per-column moments — one pass.
-    moments = (
+    # The driver's column moments and the row/worker counts: one pass.
+    per_col = (
         answers.groupBy("col")
-        .agg(F.avg("value").alias("mu"), F.var_pop("value").alias("var"))
-        .toPandas()
-        .set_index("col")
-    )
-    priors = {
-        j: (float(moments.loc[j, "mu"]), max(float(moments.loc[j, "var"]), 1e-6))
-        for j in schema.continuous_idx
-        if j in moments.index
-    }
-    state = EMState(
-        ln_alpha=np.zeros(n_rows),
-        ln_beta=np.array(
-            [
-                np.log(max(float(moments.loc[j, "var"]), 1e-6))
-                if (j in moments.index and not schema.column(j).is_categorical)
-                else 0.0
-                for j in range(schema.n_cols)
-            ]
-        ),
-        ln_phi=np.zeros(n_workers),
-    )
-
-    q_trace: list[float] = []
-    converged = False
-    it = 0
-    estep_df = None
-    for it in range(1, max_iter + 1):
-        estep_df = spark_estep(answers, state, schema, priors, eps)
-        stats_pdf = estep_df.select(
-            "row", "col", "worker", "is_cat", "s", "w", "n_labels"
-        ).toPandas()
-        stats = {
-            "row": stats_pdf["row"].to_numpy(np.int64),
-            "col": stats_pdf["col"].to_numpy(np.int64),
-            "worker": stats_pdf["worker"].to_numpy(np.int64),
-            "is_cat": stats_pdf["is_cat"].to_numpy(bool),
-            "s": stats_pdf["s"].to_numpy(np.float64),
-            "w": stats_pdf["w"].to_numpy(np.float64),
-            "n_labels": stats_pdf["n_labels"].to_numpy(np.float64),
-        }
-        new_state, q_val = m_step(stats, state, eps, grad_iters=grad_iters)
-        q_trace.append(q_val)
-        moved = max(
-            np.abs(new_state.ln_alpha - state.ln_alpha).max(initial=0.0),
-            np.abs(new_state.ln_beta - state.ln_beta).max(initial=0.0),
-            np.abs(new_state.ln_phi - state.ln_phi).max(initial=0.0),
+        .agg(
+            F.count("value").alias("n"),
+            F.avg("value").alias("mean"),
+            F.var_pop("value").alias("var"),
+            F.max("row").alias("max_row"),
+            F.max("worker").alias("max_worker"),
         )
-        state = new_state
-        if moved < tol:
-            converged = True
-            break
+        .toPandas()
+    )
+    moments = {
+        int(r.col): (int(r.n), float(r.mean), float(r.var))
+        for r in per_col.itertuples()
+    }
 
-    cells = spark_estep(answers, state, schema, priors, eps)
+    def estep_stats(state: EMState, priors: dict) -> dict:
+        pdf = spark_estep(answers, state, schema, priors, eps).select(*_STATS).toPandas()
+        return {name: pdf[name].to_numpy(dtype) for name, dtype in _STATS.items()}
+
+    fit = fit_em(
+        estep_stats,
+        moments,
+        schema,
+        int(max(per_col["max_row"], default=-1)) + 1,
+        int(max(per_col["max_worker"], default=-1)) + 1,
+        eps=eps,
+        max_iter=max_iter,
+        tol=tol,
+        grad_iters=grad_iters,
+    )
+    cells = spark_estep(answers, fit.state, schema, fit.priors, eps)
     truth = (
         cells.select("row", "col", F.col("t_hat").alias("truth"))
         .distinct()
         .orderBy("row", "col")
     )
-    quality = np.asarray(erf(eps / np.sqrt(2.0 * np.exp(state.ln_phi))), dtype=np.float64)
     return SparkEMResult(
         truth=truth,
         cells=cells,
-        state=state,
-        worker_quality=quality,
-        n_iters=it,
-        converged=converged,
-        q_trace=q_trace,
+        state=fit.state,
+        worker_quality=fit.worker_quality,
+        n_iters=fit.n_iters,
+        converged=fit.converged,
+        q_trace=fit.q_trace,
     )

@@ -4,7 +4,7 @@ import pandas as pd
 import pytest
 
 from repro.baselines.catd import catd
-from repro.baselines.crh import crh, crh_spark, crh_worker_weights
+from repro.baselines.crh import crh, crh_worker_weights
 from repro.baselines.ds import dawid_skene, zencrowd
 from repro.baselines.glad import glad
 from repro.baselines.gtm import gtm
@@ -142,24 +142,6 @@ class TestCrh:
     def test_weights_positive(self, tiny_ds):
         w = crh_worker_weights(tiny_ds.answers, tiny_ds.schema)
         assert (w["weight"] > 0).all()
-
-    def test_spark_agrees_with_pandas(self, spark, tiny_ds):
-        a_df, _ = tiny_ds.to_spark(spark)
-        sp = (
-            crh_spark(a_df, tiny_ds.schema, max_iter=4)
-            .toPandas()
-            .sort_values(["row", "col"])
-            .reset_index(drop=True)
-        )
-        pdk = crh(tiny_ds.answers, tiny_ds.schema, max_iter=4).sort_values(
-            ["row", "col"]
-        ).reset_index(drop=True)
-        # Same cells; continuous estimates agree to float tolerance, labels
-        # agree exactly.
-        assert len(sp) == len(pdk)
-        np.testing.assert_allclose(
-            sp["truth"].to_numpy(), pdk["truth"].to_numpy(), rtol=1e-6, atol=1e-6
-        )
 
 
 class TestCatd:

@@ -8,6 +8,7 @@ import pytest
 from repro.core.em import (
     CatPosterior,
     EMState,
+    answer_moments,
     column_priors,
     estep_categorical_column,
     estep_continuous_column,
@@ -216,7 +217,7 @@ class TestMStep:
 
 class TestInitAndPriors:
     def test_priors_match_column_moments(self, tiny_ds):
-        priors = column_priors(tiny_ds.answers, tiny_ds.schema)
+        priors = column_priors(answer_moments(tiny_ds.answers), tiny_ds.schema)
         for j in tiny_ds.schema.continuous_idx:
             vals = tiny_ds.answers.loc[tiny_ds.answers["col"] == j, "value"]
             mu0, var0 = priors[j]
@@ -224,13 +225,13 @@ class TestInitAndPriors:
             assert var0 == pytest.approx(vals.var(ddof=0), rel=1e-6)
 
     def test_init_state_shapes(self, tiny_ds):
-        st = init_state(tiny_ds.answers, tiny_ds.schema, 30, 20)
+        st = init_state(answer_moments(tiny_ds.answers), tiny_ds.schema, 30, 20)
         assert st.ln_alpha.shape == (30,)
         assert st.ln_beta.shape == (4,)
         assert st.ln_phi.shape == (20,)
 
     def test_init_beta_continuous_scale(self, tiny_ds):
-        st = init_state(tiny_ds.answers, tiny_ds.schema, 30, 20)
+        st = init_state(answer_moments(tiny_ds.answers), tiny_ds.schema, 30, 20)
         for j in tiny_ds.schema.continuous_idx:
             vals = tiny_ds.answers.loc[tiny_ds.answers["col"] == j, "value"]
             assert st.ln_beta[j] == pytest.approx(np.log(vals.var(ddof=0)), rel=1e-6)

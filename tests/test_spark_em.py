@@ -1,4 +1,6 @@
 """Spark EM engine: agreement with the numpy kernel and dataflow sanity."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -45,13 +47,32 @@ class TestSparkVsNumpy:
         )
 
 
+class TestOneAnswerColumn(TestSparkVsNumpy):
+    """The agreement checks again, on ``tiny_ds`` with continuous column x1
+    cut to its first answer: both engines must start that column at β = 1,
+    the rule for a column with fewer than two answers."""
+
+    @pytest.fixture(scope="class")
+    def tiny_ds(self, tiny_ds):
+        a = tiny_ds.answers
+        j = [c.name for c in tiny_ds.schema.columns].index("x1")
+        keep = (a["col"] != j) | (a.index == a.index[a["col"] == j][0])
+        return dataclasses.replace(tiny_ds, answers=a[keep].reset_index(drop=True))
+
+    @pytest.fixture(scope="class")
+    def spark_result(self, spark, tiny_ds):
+        answers_df, _ = tiny_ds.to_spark(spark)
+        return tcrowd_em_spark(answers_df, tiny_ds.schema, max_iter=12)
+
+
 class TestSparkDataflow:
     def test_estep_emits_one_row_per_answer(self, spark, tiny_ds, spark_result):
         answers_df, _ = tiny_ds.to_spark(spark)
-        from repro.core.em import column_priors, init_state
+        from repro.core.em import answer_moments, column_priors, init_state
 
-        priors = column_priors(tiny_ds.answers, tiny_ds.schema)
-        st = init_state(tiny_ds.answers, tiny_ds.schema, 30, 20)
+        moments = answer_moments(tiny_ds.answers)
+        priors = column_priors(moments, tiny_ds.schema)
+        st = init_state(moments, tiny_ds.schema, 30, 20)
         out = spark_estep(answers_df, st, tiny_ds.schema, priors, 1.0)
         assert out.count() == len(tiny_ds.answers)
 
