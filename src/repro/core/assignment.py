@@ -37,7 +37,7 @@ import pandas as pd
 from ..crowd.schema import TableSchema
 from ..crowd.stats import erf
 from .correlation import Bernoulli, ErrorModel, Normal, combined_conditional
-from .em import TCrowdResult
+from .em import CatPosterior, CatPosteriorTable, TCrowdResult, entropy_rows, row_sums
 
 _EPS_Q = 1e-6
 
@@ -94,16 +94,36 @@ class LoopingPolicy:
         return cand[:k]
 
 
-def _cell_params(view: AssignmentView, worker: int, row: int, col: int):
+def _cell_variances(
+    view: AssignmentView, worker: int, rows: np.ndarray, cols: np.ndarray
+) -> np.ndarray:
+    """The worker's answer variance ``α_i β_j φ_u`` on each cell; a row or
+    worker the state has not seen yet has α = 1 or φ = 1."""
     st = view.result.state
-    ln_a = st.ln_alpha[row] if row < len(st.ln_alpha) else 0.0
-    ln_b = st.ln_beta[col]
+    ln_a = np.zeros(len(rows))
+    seen = rows < len(st.ln_alpha)
+    ln_a[seen] = st.ln_alpha[rows[seen]]
     ln_p = st.ln_phi[worker] if worker < len(st.ln_phi) else 0.0
-    return float(np.exp(ln_a + ln_b + ln_p))
+    return np.exp(ln_a + st.ln_beta[cols] + ln_p)
 
 
 def _cont_entropy(t_phi: float) -> float:
     return 0.5 * float(np.log(2.0 * np.pi * np.e * max(t_phi, 1e-300)))
+
+
+def _cont_ig(t_phi: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Entropy drop ``½ ln(T_φ / T_φ′)`` of Gaussian cells after one more
+    answer of variance ``v`` each."""
+    t_phi_new = 1.0 / (1.0 / t_phi + 1.0 / v)
+    return 0.5 * np.log(t_phi / t_phi_new)
+
+
+def _cat_table(result: TCrowdResult) -> tuple[CatPosteriorTable, np.ndarray]:
+    """Every categorical cell of ``result`` in one table, with each cell's
+    column."""
+    table = CatPosteriorTable.concat(list(result.cat_cells.values()))
+    cols = np.fromiter(result.cat_cells, dtype=np.int64)
+    return table, np.repeat(cols, [len(t) for t in result.cat_cells.values()])
 
 
 def uniform_entropy(view: AssignmentView) -> dict:
@@ -113,8 +133,8 @@ def uniform_entropy(view: AssignmentView) -> dict:
     ent: dict = {}
     for rec in view.result.cont_cells.itertuples():
         ent[(int(rec.row), int(rec.col))] = _cont_entropy(float(rec.t_phi))
-    for cell, post in view.result.cat_cells.items():
-        ent[cell] = post.entropy()
+    for j, table in view.result.cat_cells.items():
+        ent.update(zip(((row, j) for row in table.rows.tolist()), table.entropy().tolist()))
     return ent
 
 
@@ -128,70 +148,71 @@ class EntropyPolicy:
         return cand[:k]
 
 
-def _cat_ig(post, q: float, n_labels: int) -> float:
-    """Expected Shannon-entropy drop of one categorical cell for a worker of
+def _cat_ig(post, q, n_labels):
+    """Expected Shannon-entropy drop of categorical cells for a worker of
     per-cell accuracy q (Eq. 6, local update).
+
+    ``post`` is one cell's :class:`CatPosterior`, with scalar ``q`` and
+    ``n_labels``, and the gain is a float; or a :class:`CatPosteriorTable`,
+    with one ``q`` and ``n_labels`` per cell, and the gains are an array.
+    All cells are scored together: the loop runs over the answered-label
+    slots of the table, not over cells.
 
     Enumerates the worker's possible answers over answered labels plus one
     representative unanswered label (all unanswered labels are exchangeable).
     """
-    q = float(np.clip(q, _EPS_Q, 1.0 - _EPS_Q))
-    probs = np.asarray(post.probs, dtype=np.float64)
-    n_un = post.n_unanswered
-    p0 = post.p0
-    wrong = (1.0 - q) / (n_labels - 1)
+    one = isinstance(post, CatPosterior)
+    table = post.as_table() if one else post
+    q = np.clip(np.asarray(q, dtype=np.float64), _EPS_Q, 1.0 - _EPS_Q)
+    wrong = (1.0 - q) / (np.asarray(n_labels) - 1)
+    probs, p0, n_un = table.probs, table.p0, table.n_unanswered
+    slots = table.answered
 
-    def _entropy(ans: np.ndarray, p_un: float, n_unans: int) -> float:
-        pos = ans[ans > 0]
-        h = -float(np.sum(pos * np.log(pos)))
-        if n_unans > 0 and p_un > 0:
-            h -= n_unans * p_un * np.log(p_un)
-        return h
+    h0 = entropy_rows(probs, p0, n_un)
+    new_p0 = p0 * wrong
+    exp_h = np.zeros(len(table))
 
-    h0 = _entropy(probs, p0, n_un)
-    exp_h = 0.0
-    # The worker answers some answered label idx: posterior ∝ prior ×
-    # likelihood; the predictive probability of that answer equals the
-    # posterior normaliser, so one pass gives both.
-    for idx in range(len(probs)):
-        lik = np.full(len(probs), wrong)
-        lik[idx] = q
+    def term(weight, new_ans, z, n_unans, ok):
+        """``weight · z · H(new_ans / z)`` where ``ok`` and z > 0, else 0."""
+        ok = ok & (z > 0)
+        zs = np.where(ok, z, 1.0)
+        h = entropy_rows(new_ans / zs[:, None], new_p0 / zs, n_unans)
+        return np.where(ok, weight * z * h, 0.0)
+
+    # The worker answers answered label k: posterior ∝ prior × likelihood;
+    # the predictive probability of that answer equals the posterior
+    # normaliser z, so one pass gives both.
+    for k in range(probs.shape[1]):
+        lik = np.where(np.arange(probs.shape[1]) == k, q[..., None], wrong[..., None])
         new_ans = probs * lik
-        new_p0 = p0 * wrong
-        z = float(new_ans.sum() + n_un * new_p0)  # == P(answer = this label)
-        if z <= 0:
-            continue
-        exp_h += z * _entropy(new_ans / z, new_p0 / z, n_un)
+        z = row_sums(new_ans) + n_un * new_p0
+        exp_h += term(1, new_ans, z, n_un, slots[:, k])
     # Or one of the n_un exchangeable unanswered labels: the chosen label
     # gets likelihood q and leaves the pool, the other n_un−1 stay at
     # ``wrong``; all n_un cases are identical.
-    if n_un > 0:
-        new_ans = np.append(probs * wrong, p0 * q)
-        new_p0 = p0 * wrong
-        z = float(new_ans.sum() + (n_un - 1) * new_p0)
-        if z > 0:
-            exp_h += n_un * z * _entropy(new_ans / z, new_p0 / z, n_un - 1)
-    return h0 - exp_h
+    new_ans = np.concatenate([probs * wrong[..., None], (p0 * q)[..., None]], axis=1)
+    z = row_sums(new_ans) + (n_un - 1) * new_p0
+    exp_h += term(n_un, new_ans, z, n_un - 1, n_un > 0)
+    ig = h0 - exp_h
+    return float(ig[0]) if one else ig
 
 
 class InherentIGPolicy:
     """Eq. 6: greedy top-K by inherent information gain."""
 
     def gains(self, view: AssignmentView, worker: int) -> dict:
-        res = view.result
-        eps = view.eps
-        ig: dict = {}
-        for rec in res.cont_cells.itertuples():
-            cell = (int(rec.row), int(rec.col))
-            v_u = _cell_params(view, worker, *cell)
-            t_phi = float(rec.t_phi)
-            t_phi_new = 1.0 / (1.0 / t_phi + 1.0 / v_u)
-            ig[cell] = 0.5 * float(np.log(t_phi / t_phi_new))
-        for cell, post in res.cat_cells.items():
-            v_u = _cell_params(view, worker, *cell)
-            q = float(erf(eps / np.sqrt(2.0 * v_u)))
-            n_labels = view.schema.column(cell[1]).n_labels
-            ig[cell] = _cat_ig(post, q, n_labels)
+        cont = view.result.cont_cells
+        rows = cont["row"].to_numpy(np.int64)
+        cols = cont["col"].to_numpy(np.int64)
+        v_u = _cell_variances(view, worker, rows, cols)
+        gain = _cont_ig(cont["t_phi"].to_numpy(np.float64), v_u)
+        ig = dict(zip(zip(rows.tolist(), cols.tolist()), gain.tolist()))
+
+        table, cols = _cat_table(view.result)
+        v_u = _cell_variances(view, worker, table.rows, cols)
+        q = erf(view.eps / np.sqrt(2.0 * v_u))
+        gain = _cat_ig(table, q, table.n_labels)
+        ig.update(zip(zip(table.rows.tolist(), cols.tolist()), gain.tolist()))
         return ig
 
     def pick(self, view: AssignmentView, worker: int, k: int) -> list[tuple[int, int]]:
@@ -224,12 +245,25 @@ class StructureAwarePolicy(InherentIGPolicy):
         return out
 
     def gains(self, view: AssignmentView, worker: int) -> dict:
+        """The inherent gains, with the cells of rows where the worker has
+        observed errors re-scored under Eq. 7's conditional error
+        distribution: all categorical ones in one :func:`_cat_ig` call."""
         ig = super().gains(view, worker)
         model = view.error_model
         if model is None:
             return ig
         observed = self._observed_errors(view, worker)
-        eps = view.eps
+        cont = view.result.cont_cells
+        t_phi = dict(
+            zip(
+                zip(cont["row"].tolist(), cont["col"].tolist()),
+                cont["t_phi"].to_numpy(np.float64).tolist(),
+            )
+        )
+        table, cols = _cat_table(view.result)
+        cat_pos = {cell: i for i, cell in enumerate(zip(table.rows.tolist(), cols.tolist()))}
+        cat_cells, cat_idx, cat_q = [], [], []
+        cont_cells, cont_phi, cont_v = [], [], []
         for row, errs in observed.items():
             for j in range(view.schema.n_cols):
                 cell = (row, j)
@@ -239,24 +273,22 @@ class StructureAwarePolicy(InherentIGPolicy):
                 if dist is None:
                     continue
                 if isinstance(dist, Bernoulli):
-                    post = view.result.cat_cells.get(cell)
-                    if post is None:
-                        continue
-                    q_eff = float(np.clip(1.0 - dist.p_wrong, _EPS_Q, 1.0 - _EPS_Q))
-                    n_labels = view.schema.column(j).n_labels
-                    ig[cell] = _cat_ig(post, q_eff, n_labels)
+                    cat_cells.append(cell)
+                    cat_idx.append(cat_pos[cell])
+                    cat_q.append(1.0 - dist.p_wrong)
                 else:
                     assert isinstance(dist, Normal)
-                    rec = view.result.cont_cells
-                    sel = rec[(rec["row"] == row) & (rec["col"] == j)]
-                    if sel.empty:
-                        continue
-                    t_phi = float(sel["t_phi"].iloc[0])
+                    cont_cells.append(cell)
+                    cont_phi.append(t_phi[cell])
                     # Effective answer variance: conditional spread plus the
                     # predictable offset (a biased answer is less informative).
-                    v_eff = max(dist.var + dist.mu**2, 1e-12)
-                    t_phi_new = 1.0 / (1.0 / t_phi + 1.0 / v_eff)
-                    ig[cell] = 0.5 * float(np.log(t_phi / t_phi_new))
+                    cont_v.append(max(dist.var + dist.mu**2, 1e-12))
+        if cat_cells:
+            sub = table.take(np.array(cat_idx))
+            gain = _cat_ig(sub, np.array(cat_q), sub.n_labels)
+            ig.update(zip(cat_cells, gain.tolist()))
+        if cont_cells:
+            ig.update(zip(cont_cells, _cont_ig(np.array(cont_phi), np.array(cont_v)).tolist()))
         return ig
 
 

@@ -8,7 +8,10 @@ Implements the unified worker-quality EM:
   ``q = erf(ε/√(2v))`` with the wrong-answer mass uniform over the other
   labels (Eqs. 2–3);
 * E-step (Eq. 4): Gaussian posterior ``(T_μ, T_φ)`` per continuous cell with
-  per-column empirical prior; label posterior per categorical cell;
+  per-column empirical prior; label posterior per categorical cell, held
+  densely per column as a :class:`CatPosteriorTable` (cells × answered
+  labels, zero-padded, plus the unanswered labels' count and shared
+  probability) and built with array ops, never cell by cell;
 * M-step (Eq. 5): gradient ascent on ``Q(α, β, φ)`` in log-parameter space,
   with per-answer gradients scatter-added to their row/column/worker.
 
@@ -76,16 +79,122 @@ class CatPosterior:
     n_unanswered: int
     p0: float
 
+    def as_table(self) -> "CatPosteriorTable":
+        """This cell as a one-row :class:`CatPosteriorTable`."""
+        return CatPosteriorTable(
+            rows=np.zeros(1, dtype=np.int64),
+            labels=np.asarray(self.labels, dtype=np.float64)[None, :],
+            probs=np.asarray(self.probs, dtype=np.float64)[None, :],
+            n_unanswered=np.array([self.n_unanswered], dtype=np.int64),
+            p0=np.array([self.p0], dtype=np.float64),
+            n_labels=np.array([len(self.probs) + self.n_unanswered], dtype=np.int64),
+        )
+
     def entropy(self) -> float:
-        p = self.probs[self.probs > 0]
-        h = -float(np.sum(p * np.log(p)))
-        if self.n_unanswered > 0 and self.p0 > 0:
-            h -= self.n_unanswered * self.p0 * np.log(self.p0)
-        return h
+        return float(self.as_table().entropy()[0])
 
     def argmax(self) -> float:
         """Most probable *answered* label (fallback documented in DESIGN §5)."""
-        return float(self.labels[int(np.argmax(self.probs))])
+        return float(self.as_table().argmax()[0])
+
+
+def row_sums(x: np.ndarray) -> np.ndarray:
+    """Sum each row of ``x`` left to right.
+
+    This is the order numpy uses for a sum of fewer than eight terms, and
+    zero padding does not change it, so a cell's sum does not depend on how
+    wide the table around it is.
+    """
+    acc = np.zeros(x.shape[0])
+    for k in range(x.shape[1]):
+        acc += x[:, k]
+    return acc
+
+
+def entropy_rows(probs: np.ndarray, p0: np.ndarray, n_unanswered: np.ndarray) -> np.ndarray:
+    """Shannon entropy per row of a padded posterior table: the positive
+    entries of ``probs`` plus ``n_unanswered`` labels at ``p0`` each."""
+    pos = probs > 0
+    h = -row_sums(np.where(pos, probs * np.log(np.where(pos, probs, 1.0)), 0.0))
+    un = (n_unanswered > 0) & (p0 > 0)
+    return h - np.where(un, n_unanswered * p0 * np.log(np.where(un, p0, 1.0)), 0.0)
+
+
+@dataclass
+class CatPosteriorTable:
+    """Label posteriors of the C cells of one categorical column, dense.
+
+    Row ``c`` is cell ``rows[c]``: its ``n_labels − n_unanswered`` answered
+    labels (ascending) and their probabilities fill the first columns of
+    ``labels``/``probs``, zero-padded to the widest cell's K; the remaining
+    ``n_unanswered`` labels share probability ``p0`` each. ``table[row]``
+    builds that cell's :class:`CatPosterior`.
+    """
+
+    rows: np.ndarray  # (C,) int64, ascending
+    labels: np.ndarray  # (C, K)
+    probs: np.ndarray  # (C, K)
+    n_unanswered: np.ndarray  # (C,) int64
+    p0: np.ndarray  # (C,)
+    n_labels: np.ndarray  # (C,) int64
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    @property
+    def answered(self) -> np.ndarray:
+        """(C, K) mask of the answered-label slots (the rest is padding)."""
+        width = self.n_labels - self.n_unanswered
+        return np.arange(self.probs.shape[1]) < width[:, None]
+
+    def __getitem__(self, row: int) -> CatPosterior:
+        c = int(np.searchsorted(self.rows, row))
+        if c == len(self.rows) or self.rows[c] != row:
+            raise KeyError(row)
+        k = int(self.n_labels[c] - self.n_unanswered[c])
+        return CatPosterior(
+            labels=self.labels[c, :k].copy(),
+            probs=self.probs[c, :k].copy(),
+            n_unanswered=int(self.n_unanswered[c]),
+            p0=float(self.p0[c]),
+        )
+
+    def entropy(self) -> np.ndarray:
+        return entropy_rows(self.probs, self.p0, self.n_unanswered)
+
+    def argmax(self) -> np.ndarray:
+        """Most probable *answered* label per cell (padding has probability 0
+        and comes last, so it never wins a tie)."""
+        return self.labels[np.arange(len(self.rows)), np.argmax(self.probs, axis=1)]
+
+    def take(self, idx: np.ndarray) -> "CatPosteriorTable":
+        """The cells at positions ``idx``, in that order."""
+        return CatPosteriorTable(
+            self.rows[idx], self.labels[idx], self.probs[idx],
+            self.n_unanswered[idx], self.p0[idx], self.n_labels[idx],
+        )
+
+    @staticmethod
+    def concat(tables: list["CatPosteriorTable"]) -> "CatPosteriorTable":
+        """Stack tables (e.g. of several columns), padded to the widest K."""
+        if not tables:
+            no_cells = np.zeros(0, dtype=np.int64)
+            return CatPosteriorTable(
+                no_cells, np.zeros((0, 0)), np.zeros((0, 0)), no_cells, np.zeros(0), no_cells
+            )
+        k = max(t.probs.shape[1] for t in tables)
+
+        def pad(a: np.ndarray) -> np.ndarray:
+            return np.pad(a, ((0, 0), (0, k - a.shape[1])))
+
+        return CatPosteriorTable(
+            np.concatenate([t.rows for t in tables]),
+            np.concatenate([pad(t.labels) for t in tables]),
+            np.concatenate([pad(t.probs) for t in tables]),
+            np.concatenate([t.n_unanswered for t in tables]),
+            np.concatenate([t.p0 for t in tables]),
+            np.concatenate([t.n_labels for t in tables]),
+        )
 
 
 @dataclass
@@ -93,7 +202,7 @@ class TCrowdResult:
     state: EMState
     truth: pd.DataFrame  # (row, col, truth) over answered cells
     cont_cells: pd.DataFrame  # (row, col, t_mu, t_phi)
-    cat_cells: dict  # (row, col) -> CatPosterior
+    cat_cells: dict  # col -> CatPosteriorTable
     worker_quality: np.ndarray  # q_u = erf(ε/√(2 φ_u))
     n_iters: int
     converged: bool
@@ -128,15 +237,22 @@ def estep_categorical_column(
 ):
     """Label posterior per cell of one categorical column.
 
-    Returns ``(posteriors, w_per_answer, q_per_answer)`` where ``posteriors``
-    maps row -> CatPosterior and ``w`` is the posterior probability that the
-    answer equals the truth (the M-step sufficient statistic).
+    Returns ``(table, w_per_answer, q_per_answer)`` where ``table`` is the
+    column's :class:`CatPosteriorTable` and ``w`` is the posterior
+    probability that the answer equals the truth (the M-step sufficient
+    statistic). Raises ``ValueError`` if a value is not an integer label in
+    ``0..n_labels-1``.
     """
+    ok = (values == np.floor(values)) & (values >= 0) & (values < n_labels)
+    if not ok.all():
+        raise ValueError(
+            f"categorical answer {values[~ok][0]!r} is not a label in 0..{n_labels - 1}"
+        )
+    labels = values.astype(np.int64)
     t = eps / np.sqrt(2.0 * v)
     q = np.clip(np.asarray(erf(t), dtype=np.float64), _Q_CLIP, 1.0 - _Q_CLIP)
     delta = np.log(q) - np.log((1.0 - q) / (n_labels - 1))
 
-    labels = values.astype(np.int64)
     key = rows.astype(np.int64) * n_labels + labels
     pair_key, pair_inv = np.unique(key, return_inverse=True)
     pair_delta = np.bincount(pair_inv, weights=delta)
@@ -155,19 +271,23 @@ def estep_categorical_column(
     pair_p = ex / z[cell_inv]
     p0 = np.exp(-mx) / z
 
-    posteriors: dict[int, CatPosterior] = {}
-    order = np.argsort(cell_inv, kind="stable")
-    bounds = np.searchsorted(cell_inv[order], np.arange(n_cells + 1))
-    for c in range(n_cells):
-        sl = order[bounds[c] : bounds[c + 1]]
-        posteriors[int(cell_rows[c])] = CatPosterior(
-            labels=pair_label[sl].astype(np.float64),
-            probs=pair_p[sl],
-            n_unanswered=int(n_un[c]),
-            p0=float(p0[c]),
-        )
+    # Pairs are sorted by (row, label): a pair's slot is its rank in its cell.
+    slot = np.arange(len(pair_key)) - (np.cumsum(n_answered) - n_answered)[cell_inv]
+    width = int(n_answered.max(initial=0))
+    table_labels = np.zeros((n_cells, width))
+    table_probs = np.zeros((n_cells, width))
+    table_labels[cell_inv, slot] = pair_label
+    table_probs[cell_inv, slot] = pair_p
+    table = CatPosteriorTable(
+        rows=cell_rows,
+        labels=table_labels,
+        probs=table_probs,
+        n_unanswered=n_un,
+        p0=p0,
+        n_labels=np.full(n_cells, n_labels, dtype=np.int64),
+    )
     w = pair_p[pair_inv]  # per-answer posterior prob that its label is truth
-    return posteriors, w, q
+    return table, w, q
 
 
 # ---------------------------------------------------------------------------
@@ -398,8 +518,10 @@ def run_estep(
     answers: pd.DataFrame, schema: TableSchema, state: EMState, priors: dict, eps: float
 ):
     """One full E-step over all columns. Returns (cont_cells, cat_cells,
-    stats) where stats is the per-answer sufficient-statistics dict the
-    M-step consumes."""
+    stats): the continuous cells' posteriors as a frame, one
+    :class:`CatPosteriorTable` per answered categorical column, and the
+    per-answer sufficient-statistics dict the M-step consumes (``n_labels``
+    is 0 on continuous answers, as in the Spark engine)."""
     r_all = answers["row"].to_numpy(dtype=np.int64)
     c_all = answers["col"].to_numpy(dtype=np.int64)
     u_all = answers["worker"].to_numpy(dtype=np.int64)
@@ -409,7 +531,7 @@ def run_estep(
     s = np.zeros(len(answers))
     w = np.zeros(len(answers))
     is_cat = np.zeros(len(answers), dtype=bool)
-    n_labels = np.ones(len(answers))
+    n_labels = np.zeros(len(answers))
     cont_rows, cat_cells = [], {}
 
     for j, cspec in enumerate(schema.columns):
@@ -418,12 +540,11 @@ def run_estep(
             continue
         rows, vals, v = r_all[mask], val_all[mask], v_all[mask]
         if cspec.is_categorical:
-            posts, w_j, _ = estep_categorical_column(rows, vals, v, cspec.n_labels, eps)
-            w[mask] = w_j
+            cat_cells[j], w[mask], _ = estep_categorical_column(
+                rows, vals, v, cspec.n_labels, eps
+            )
             is_cat[mask] = True
             n_labels[mask] = cspec.n_labels
-            for row, post in posts.items():
-                cat_cells[(row, j)] = post
         else:
             mu0, var0 = priors[j]
             cell_rows, t_mu, t_phi, s_j = estep_continuous_column(rows, vals, v, mu0, var0)
@@ -457,15 +578,8 @@ def result_truth(cont_cells: pd.DataFrame, cat_cells: dict) -> pd.DataFrame:
         parts.append(
             cont_cells.rename(columns={"t_mu": "truth"})[["row", "col", "truth"]]
         )
-    if cat_cells:
-        parts.append(
-            pd.DataFrame(
-                [
-                    {"row": row, "col": col, "truth": post.argmax()}
-                    for (row, col), post in cat_cells.items()
-                ]
-            )
-        )
+    for col, table in cat_cells.items():
+        parts.append(pd.DataFrame({"row": table.rows, "col": col, "truth": table.argmax()}))
     out = pd.concat(parts, ignore_index=True) if parts else pd.DataFrame(
         columns=["row", "col", "truth"]
     )

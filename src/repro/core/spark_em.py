@@ -12,8 +12,11 @@ engine uses too. This module supplies what it needs from Spark:
   because the session builder disables auto-broadcast — then
   ``groupBy("col").applyInPandas`` runs the *same* per-column kernels as the
   numpy engine, emitting one output row per answer denormalised with its
-  cell's posterior (``t_mu``, ``t_phi``, estimated truth, entropy). This
-  relation *is* the M-step's sufficient-statistics table;
+  cell's posterior (``t_mu``, ``t_phi``, estimated truth, entropy; a
+  categorical column's truth and entropy are read off its dense
+  ``CatPosteriorTable`` in one array op). This relation *is* the M-step's
+  sufficient-statistics table, and its ``n_labels`` is 0 on continuous
+  answers, as in the numpy engine's;
 * the statistics collected to the driver (they are ``O(|A|)``), where the
   shared log-space gradient ascent optimises the tiny parameter vectors —
   the MLlib "cluster statistics + driver optimiser" pattern;
@@ -86,15 +89,14 @@ def _estep_column_kernel(eps: float):
         out["n_labels"] = pdf["n_labels"].iloc[0]
         if is_cat:
             n_labels = int(pdf["n_labels"].iloc[0])
-            posts, w, _ = estep_categorical_column(rows, vals, v, n_labels, eps)
+            table, w, _ = estep_categorical_column(rows, vals, v, n_labels, eps)
+            pos = np.searchsorted(table.rows, rows)
             out["s"] = 0.0
             out["w"] = w
-            t_hat = {r: p.argmax() for r, p in posts.items()}
-            ent = {r: p.entropy() for r, p in posts.items()}
-            out["t_hat"] = [t_hat[r] for r in rows]
+            out["t_hat"] = table.argmax()[pos]
             out["t_mu"] = np.nan
             out["t_phi"] = np.nan
-            out["t_entropy"] = [ent[r] for r in rows]
+            out["t_entropy"] = table.entropy()[pos]
         else:
             mu0 = float(pdf["mu0"].iloc[0])
             var0 = float(pdf["var0"].iloc[0])

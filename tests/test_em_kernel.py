@@ -128,6 +128,43 @@ class TestEstepCategorical:
             assert w[values == lab][0] == pytest.approx(expect)
 
 
+    def test_dense_table_layout(self):
+        # Cells 0 and 2; cell 0 has two answered labels, cell 2 one, so the
+        # table is two wide and cell 2's second slot is padding.
+        rows = np.array([2, 0, 0])
+        values = np.array([0.0, 3.0, 1.0])
+        table, _, _ = estep_categorical_column(rows, values, np.ones(3), 5, eps=1.0)
+        assert table.rows.tolist() == [0, 2]
+        assert table.labels.tolist() == [[1.0, 3.0], [0.0, 0.0]]
+        assert table.probs[1, 1] == 0.0
+        assert table.n_unanswered.tolist() == [3, 4]
+        assert table.answered.tolist() == [[True, True], [True, False]]
+        assert table[2].labels.tolist() == [0.0]
+        assert table.argmax().tolist() == [table[0].argmax(), table[2].argmax()]
+        assert table.entropy().tolist() == [table[0].entropy(), table[2].entropy()]
+        with pytest.raises(KeyError):
+            table[1]
+
+    @pytest.mark.parametrize(
+        "bad",
+        [4.0, 7.0, -1.0, 1.5, np.nan, np.inf],
+        ids=["n_labels", "above_n_labels", "negative", "non_integer", "nan", "inf"],
+    )
+    def test_rejects_value_outside_label_set(self, bad):
+        # A label of n_labels on row 0 would otherwise key as label 0 of row 1.
+        rows = np.array([0, 1])
+        values = np.array([bad, 0.0])
+        with pytest.raises(ValueError, match="not a label"):
+            estep_categorical_column(rows, values, np.ones(2), 4, eps=1.0)
+
+    def test_tcrowd_em_rejects_bad_label(self, tiny_ds):
+        a = tiny_ds.answers.copy()
+        j = tiny_ds.schema.categorical_idx[0]
+        a.loc[a.index[a["col"] == j][0], "value"] = tiny_ds.schema.column(j).n_labels
+        with pytest.raises(ValueError, match="not a label"):
+            tcrowd_em(a, tiny_ds.schema, max_iter=1)
+
+
 class TestCatPosterior:
     def test_entropy_uniform(self):
         p = CatPosterior(

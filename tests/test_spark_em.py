@@ -2,10 +2,11 @@
 import dataclasses
 
 import numpy as np
+import pandas as pd
 import pytest
 
-from repro.core.em import tcrowd_em
-from repro.core.spark_em import spark_estep, tcrowd_em_spark
+from repro.core.em import answer_moments, column_priors, init_state, run_estep, tcrowd_em
+from repro.core.spark_em import _STATS, spark_estep, tcrowd_em_spark
 from repro.crowd.metrics import error_rate, mnad
 
 
@@ -68,7 +69,6 @@ class TestOneAnswerColumn(TestSparkVsNumpy):
 class TestSparkDataflow:
     def test_estep_emits_one_row_per_answer(self, spark, tiny_ds, spark_result):
         answers_df, _ = tiny_ds.to_spark(spark)
-        from repro.core.em import answer_moments, column_priors, init_state
 
         moments = answer_moments(tiny_ds.answers)
         priors = column_priors(moments, tiny_ds.schema)
@@ -87,3 +87,30 @@ class TestSparkDataflow:
 
     def test_q_trace_progresses(self, spark_result):
         assert spark_result.q_trace[-1] >= spark_result.q_trace[0]
+
+
+class TestEstepStatsAgree:
+    def test_per_answer_stats_match_numpy(self, spark, tiny_ds):
+        """From one fixed state, both engines' E-steps emit the same
+        per-answer M-step statistics."""
+        moments = answer_moments(tiny_ds.answers)
+        priors = column_priors(moments, tiny_ds.schema)
+        st = init_state(moments, tiny_ds.schema, 30, 20)
+        g = np.random.default_rng(3)
+        st.ln_alpha += g.normal(0.0, 0.3, 30)
+        st.ln_beta += g.normal(0.0, 0.3, tiny_ds.schema.n_cols)
+        st.ln_phi += g.normal(0.0, 0.5, 20)
+        key = ["row", "col", "worker"]
+
+        answers_df, _ = tiny_ds.to_spark(spark)
+        sp = spark_estep(answers_df, st, tiny_ds.schema, priors, 1.0).select(*_STATS)
+        sp = sp.toPandas().sort_values(key).reset_index(drop=True)
+        _, _, stats = run_estep(tiny_ds.answers, tiny_ds.schema, st, priors, 1.0)
+        nm = pd.DataFrame(stats).sort_values(key).reset_index(drop=True)
+
+        assert not nm.duplicated(key).any()
+        np.testing.assert_array_equal(sp[key].to_numpy(), nm[key].to_numpy())
+        np.testing.assert_array_equal(sp["is_cat"].to_numpy(), nm["is_cat"].to_numpy())
+        np.testing.assert_array_equal(sp["n_labels"].to_numpy(), nm["n_labels"].to_numpy())
+        np.testing.assert_allclose(sp["s"].to_numpy(), nm["s"].to_numpy(), rtol=1e-12)
+        np.testing.assert_allclose(sp["w"].to_numpy(), nm["w"].to_numpy(), rtol=1e-12)
