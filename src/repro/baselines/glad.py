@@ -9,81 +9,62 @@ per-column D&S but weaker than the unified model that also uses the
 continuous columns.
 
 EM with a gradient M-step (ascent on the expected complete log-likelihood
-with backtracking), mirroring Whitehill et al.'s optimisation.
+with backtracking), mirroring Whitehill et al.'s optimisation. The E-step is
+T-Crowd's label posterior (:func:`repro.core.em.label_posteriors`) with
+``q = sigmoid(ability · easiness)``; cells decode by their most probable
+answered label, ties to the smallest.
 """
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
 
-from ..crowd.schema import TableSchema, restrict_answers
+from ..core.em import label_posteriors
+from ..crowd.schema import TableSchema
+from .ds import categorical_answers, decode
+
+_MAX_ITER = 40
+_GRAD_ITERS = 20
+_TOL = 1e-4
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(x, -30.0, 30.0)))
 
 
-def glad(
-    answers: pd.DataFrame,
-    schema: TableSchema,
-    *,
-    max_iter: int = 40,
-    grad_iters: int = 20,
-    tol: float = 1e-4,
-) -> pd.DataFrame:
+def glad(answers: pd.DataFrame, schema: TableSchema) -> pd.DataFrame:
     """Run GLAD over all categorical cells jointly; returns (row, col, truth)."""
-    cat = restrict_answers(answers, schema, "cat").copy()
-    if cat.empty:
+    arrays = categorical_answers(answers, schema)
+    if arrays is None:
         return pd.DataFrame(columns=["row", "col", "truth"])
-    cat["label"] = cat["value"].round().astype(np.int64)
-
-    workers, w_inv = np.unique(cat["worker"].to_numpy(np.int64), return_inverse=True)
-    cells = cat.groupby(["row", "col"], sort=True)
-    cell_keys = list(cells.groups.keys())
-    t_inv = cells.ngroup().to_numpy()
-    n_t, n_w = len(cell_keys), len(workers)
-    nl = np.array([schema.column(j).n_labels for (_, j) in cell_keys], dtype=np.float64)
-    labels = cat["label"].to_numpy()
-    nl_a = nl[t_inv]
+    cells, labels, n_labels, w_inv = arrays
+    _, t_inv = np.unique(cells, return_inverse=True)
+    n_t, n_w = t_inv.max() + 1, w_inv.max() + 1
 
     ability = np.ones(n_w)
     ln_ease = np.zeros(n_t)
 
     def posteriors(ability, ln_ease):
-        """Per-cell posterior over answered labels; returns per-answer w."""
         q = np.clip(_sigmoid(ability[w_inv] * np.exp(ln_ease[t_inv])), 1e-6, 1 - 1e-6)
-        delta = np.log(q) - np.log((1 - q) / (nl_a - 1))
-        lmax = int(labels.max()) + 1
-        key = t_inv * lmax + labels
-        pair, pair_inv = np.unique(key, return_inverse=True)
-        pair_delta = np.bincount(pair_inv, weights=delta)
-        pair_cell = pair // lmax
-        mx = np.zeros(n_t)
-        np.maximum.at(mx, pair_cell, pair_delta)
-        ex = np.exp(pair_delta - mx[pair_cell])
-        z = np.bincount(pair_cell, weights=ex, minlength=n_t)
-        n_ans = np.bincount(pair_cell, minlength=n_t)
-        z += (nl - n_ans) * np.exp(-mx)
-        pair_p = ex / z[pair_cell]
-        return pair_p[pair_inv], (pair, pair_p, pair_cell, lmax)
+        return label_posteriors(cells, labels, q, n_labels)
 
     def q_and_grad(w, ability, ln_ease):
         x = ability[w_inv] * np.exp(ln_ease[t_inv])
         q = np.clip(_sigmoid(x), 1e-6, 1 - 1e-6)
-        val = w * np.log(q) + (1 - w) * np.log((1 - q) / (nl_a - 1))
+        val = w * np.log(q) + (1 - w) * np.log((1 - q) / (n_labels - 1))
         # d/dx [w ln σ + (1-w) ln(1-σ)] = w - σ
         gx = w - q
         g_ab = np.bincount(w_inv, weights=gx * np.exp(ln_ease[t_inv]), minlength=n_w)
         g_le = np.bincount(t_inv, weights=gx * x, minlength=n_t)
         return float(val.sum()), g_ab, g_le
 
-    w = np.full(len(cat), 0.5)
-    for _ in range(max_iter):
-        new_w, _ = posteriors(ability, ln_ease)
+    w = np.full(len(cells), 0.5)
+    for _ in range(_MAX_ITER):
+        _, new_w = posteriors(ability, ln_ease)
         # M-step: backtracking gradient ascent on the expected ll.
         lr = 0.5
         q_cur, g_ab, g_le = q_and_grad(new_w, ability, ln_ease)
-        for _g in range(grad_iters):
+        for _g in range(_GRAD_ITERS):
             na = np.maximum(np.bincount(w_inv, minlength=n_w), 1)
             nt = np.maximum(np.bincount(t_inv, minlength=n_t), 1)
             ok = False
@@ -99,20 +80,10 @@ def glad(
                 break
             ability, ln_ease, q_cur, g_ab, g_le = ab2, le2, q_new, g_ab2, g_le2
             lr = min(lr * 1.2, 2.0)
-        if np.abs(new_w - w).max() < tol:
-            w = new_w
-            break
+        converged = np.abs(new_w - w).max() < _TOL
         w = new_w
+        if converged:
+            break
 
-    _, (pair, pair_p, pair_cell, lmax) = posteriors(ability, ln_ease)
-    dec = pd.DataFrame({"cell": pair_cell, "label": pair % lmax, "p": pair_p})
-    dec = dec.sort_values(["cell", "p", "label"], ascending=[True, False, True])
-    dec = dec.drop_duplicates("cell", keep="first")
-    out = pd.DataFrame(
-        {
-            "row": [cell_keys[c][0] for c in dec["cell"]],
-            "col": [cell_keys[c][1] for c in dec["cell"]],
-            "truth": dec["label"].astype(float).to_numpy(),
-        }
-    )
-    return out.sort_values(["row", "col"]).reset_index(drop=True)
+    table, _ = posteriors(ability, ln_ease)
+    return decode(table, schema)

@@ -16,14 +16,11 @@ import pandas as pd
 
 from ..crowd.schema import TableSchema, restrict_answers
 
+_MAX_ITER = 50
+_TOL = 1e-6
 
-def gtm(
-    answers: pd.DataFrame,
-    schema: TableSchema,
-    *,
-    max_iter: int = 50,
-    tol: float = 1e-6,
-) -> pd.DataFrame:
+
+def gtm(answers: pd.DataFrame, schema: TableSchema) -> pd.DataFrame:
     cont = restrict_answers(answers, schema, "cont").copy()
     if cont.empty:
         return pd.DataFrame(columns=["row", "col", "truth"])
@@ -44,7 +41,7 @@ def gtm(
 
     var_u = np.ones(n_w)
     t_mu = np.zeros(n_c)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         prec = 1.0 / np.maximum(var_u[w_inv], 1e-9)
         sum_p = np.bincount(c_inv, weights=prec, minlength=n_c)
         sum_pz = np.bincount(c_inv, weights=prec * z, minlength=n_c)
@@ -55,7 +52,7 @@ def gtm(
             np.bincount(w_inv, minlength=n_w), 1
         )
         var_u = np.maximum(var_u, 1e-6)
-        if np.abs(new_mu - t_mu).max() < tol:
+        if np.abs(new_mu - t_mu).max() < _TOL:
             t_mu = new_mu
             break
         t_mu = new_mu

@@ -36,7 +36,7 @@ import pandas as pd
 
 from ..crowd.schema import TableSchema
 from ..crowd.stats import erf
-from .correlation import Bernoulli, ErrorModel, Normal, combined_conditional
+from .correlation import Bernoulli, ErrorModel, Normal, combined_conditional, compute_errors
 from .em import CatPosterior, CatPosteriorTable, TCrowdResult, entropy_rows, row_sums
 
 _EPS_Q = 1e-6
@@ -231,17 +231,12 @@ class StructureAwarePolicy(InherentIGPolicy):
         sub = view.answers[view.answers["worker"] == worker]
         if sub.empty or view.result is None:
             return {}
-        merged = sub.merge(view.result.truth, on=["row", "col"], how="inner")
-        cat = set(view.schema.categorical_idx)
+        errs = compute_errors(sub, view.result.truth, view.schema)
         out: dict = {}
-        for rec in merged.itertuples():
-            j = int(rec.col)
-            err = (
-                float(round(rec.value) != round(rec.truth))
-                if j in cat
-                else float(rec.value - rec.truth)
-            )
-            out.setdefault(int(rec.row), {})[j] = err
+        for row, j, err in zip(
+            errs["row"].tolist(), errs["col"].tolist(), errs["err"].tolist()
+        ):
+            out.setdefault(row, {})[j] = err
         return out
 
     def gains(self, view: AssignmentView, worker: int) -> dict:

@@ -11,7 +11,8 @@ Implements the unified worker-quality EM:
   per-column empirical prior; label posterior per categorical cell, held
   densely per column as a :class:`CatPosteriorTable` (cells × answered
   labels, zero-padded, plus the unanswered labels' count and shared
-  probability) and built with array ops, never cell by cell;
+  probability). :func:`label_posteriors` builds it with array ops, never
+  cell by cell; the Zencrowd and GLAD baselines call it with their own q;
 * M-step (Eq. 5): gradient ascent on ``Q(α, β, φ)`` in log-parameter space,
   with per-answer gradients scatter-added to their row/column/worker.
 
@@ -40,6 +41,14 @@ from ..crowd.stats import erf
 
 _Q_CLIP = 1e-9
 _LN_CLAMP = 14.0
+# M-step: gradient steps per M-step, first step size, the largest
+# log-parameter move that ends it, and the lognormal ridges on ln α and ln φ
+# (see q_objective).
+_GRAD_ITERS = 25
+_LR0 = 0.3
+_STEP_TOL = 1e-5
+_REG_ALPHA = 2.0
+_REG_PHI = 0.5
 
 
 @dataclass
@@ -232,46 +241,54 @@ def estep_continuous_column(
     return cell_rows, t_mu, t_phi, s
 
 
-def estep_categorical_column(
-    rows: np.ndarray, values: np.ndarray, v: np.ndarray, n_labels: int, eps: float
-):
-    """Label posterior per cell of one categorical column.
-
-    Returns ``(table, w_per_answer, q_per_answer)`` where ``table`` is the
-    column's :class:`CatPosteriorTable` and ``w`` is the posterior
-    probability that the answer equals the truth (the M-step sufficient
-    statistic). Raises ``ValueError`` if a value is not an integer label in
-    ``0..n_labels-1``.
-    """
-    ok = (values == np.floor(values)) & (values >= 0) & (values < n_labels)
-    if not ok.all():
+def check_labels(labels: np.ndarray, n_labels) -> None:
+    """Raise ``ValueError`` unless every label is in ``0..n_labels-1``
+    (``n_labels`` is one count or one per label)."""
+    n_labels = np.broadcast_to(n_labels, labels.shape)
+    bad = (labels < 0) | (labels >= n_labels)
+    if bad.any():
+        i = int(np.argmax(bad))
         raise ValueError(
-            f"categorical answer {values[~ok][0]!r} is not a label in 0..{n_labels - 1}"
+            f"categorical answer {labels[i]} is not a label in 0..{n_labels[i] - 1}"
         )
-    labels = values.astype(np.int64)
-    t = eps / np.sqrt(2.0 * v)
-    q = np.clip(np.asarray(erf(t), dtype=np.float64), _Q_CLIP, 1.0 - _Q_CLIP)
+
+
+def label_posteriors(
+    cells: np.ndarray, labels: np.ndarray, q: np.ndarray, n_labels: np.ndarray
+) -> tuple[CatPosteriorTable, np.ndarray]:
+    """Label posterior of every answered cell under Eqs. 2–3.
+
+    Answer ``i`` gives label ``labels[i]`` of ``0..n_labels[i]-1`` to the
+    cell keyed ``cells[i]`` (a non-negative integer); it is right with
+    probability ``q[i]``, otherwise uniform over the other labels. Returns
+    the cells' :class:`CatPosteriorTable` (``rows`` are the cell keys,
+    ascending) and per answer the posterior probability ``w`` that its label
+    is the truth. Raises ``ValueError`` for a label outside its range, which
+    would otherwise key as a label of the next cell.
+    """
+    check_labels(labels, n_labels)
     delta = np.log(q) - np.log((1.0 - q) / (n_labels - 1))
 
-    key = rows.astype(np.int64) * n_labels + labels
-    pair_key, pair_inv = np.unique(key, return_inverse=True)
+    stride = int(n_labels.max(initial=1))
+    pair_key, pair_inv = np.unique(cells * stride + labels, return_inverse=True)
     pair_delta = np.bincount(pair_inv, weights=delta)
-    pair_row = pair_key // n_labels
-    pair_label = pair_key % n_labels
+    pair_label = pair_key % stride
 
-    cell_rows, cell_inv = np.unique(pair_row, return_inverse=True)
+    cell_rows, cell_inv = np.unique(pair_key // stride, return_inverse=True)
     n_cells = len(cell_rows)
+    cell_n_labels = np.zeros(n_cells, dtype=np.int64)
+    cell_n_labels[cell_inv[pair_inv]] = n_labels
     mx = np.zeros(n_cells)  # include the unanswered labels' delta of 0
     np.maximum.at(mx, cell_inv, pair_delta)
     ex = np.exp(pair_delta - mx[cell_inv])
     sum_ex = np.bincount(cell_inv, weights=ex, minlength=n_cells)
     n_answered = np.bincount(cell_inv, minlength=n_cells)
-    n_un = n_labels - n_answered
+    n_un = cell_n_labels - n_answered
     z = sum_ex + n_un * np.exp(-mx)
     pair_p = ex / z[cell_inv]
     p0 = np.exp(-mx) / z
 
-    # Pairs are sorted by (row, label): a pair's slot is its rank in its cell.
+    # Pairs are sorted by (cell, label): a pair's slot is its rank in its cell.
     slot = np.arange(len(pair_key)) - (np.cumsum(n_answered) - n_answered)[cell_inv]
     width = int(n_answered.max(initial=0))
     table_labels = np.zeros((n_cells, width))
@@ -284,9 +301,32 @@ def estep_categorical_column(
         probs=table_probs,
         n_unanswered=n_un,
         p0=p0,
-        n_labels=np.full(n_cells, n_labels, dtype=np.int64),
+        n_labels=cell_n_labels,
     )
-    w = pair_p[pair_inv]  # per-answer posterior prob that its label is truth
+    return table, pair_p[pair_inv]
+
+
+def estep_categorical_column(
+    rows: np.ndarray, values: np.ndarray, v: np.ndarray, n_labels: int, eps: float
+):
+    """Label posterior per cell of one categorical column.
+
+    Returns ``(table, w_per_answer, q_per_answer)`` where ``table`` is the
+    column's :class:`CatPosteriorTable` and ``w`` is the posterior
+    probability that the answer equals the truth (the M-step sufficient
+    statistic). Raises ``ValueError`` if a value is not an integer label in
+    ``0..n_labels-1``.
+    """
+    ok = np.isfinite(values) & (values == np.floor(values))
+    if not ok.all():
+        raise ValueError(
+            f"categorical answer {values[~ok][0]!r} is not a label in 0..{n_labels - 1}"
+        )
+    t = eps / np.sqrt(2.0 * v)
+    q = np.clip(np.asarray(erf(t), dtype=np.float64), _Q_CLIP, 1.0 - _Q_CLIP)
+    table, w = label_posteriors(
+        rows.astype(np.int64), values.astype(np.int64), q, np.full(len(rows), n_labels)
+    )
     return table, w, q
 
 
@@ -342,17 +382,7 @@ def q_objective(
     return total, g
 
 
-def m_step(
-    stats: dict,
-    state: EMState,
-    eps: float,
-    *,
-    grad_iters: int = 25,
-    lr0: float = 0.3,
-    tol: float = 1e-5,
-    reg_alpha: float = 2.0,
-    reg_phi: float = 0.5,
-) -> tuple[EMState, float]:
+def m_step(stats: dict, state: EMState, eps: float) -> tuple[EMState, float]:
     """Gradient ascent on Q in log-parameter space with backtracking.
 
     Per-answer gradients w.r.t. ``ln v`` scatter-add to ``ln α_i``,
@@ -361,12 +391,12 @@ def m_step(
     st = state.copy()
     n, m, u_n = len(st.ln_alpha), len(st.ln_beta), len(st.ln_phi)
     r, c, u = stats["row"], stats["col"], stats["worker"]
-    lr = lr0
-    q_cur, g = q_objective(stats, st, eps, reg_alpha, reg_phi)
-    for _ in range(grad_iters):
-        ga = np.bincount(r, weights=g, minlength=n) - 2.0 * reg_alpha * st.ln_alpha
+    lr = _LR0
+    q_cur, g = q_objective(stats, st, eps, _REG_ALPHA, _REG_PHI)
+    for _ in range(_GRAD_ITERS):
+        ga = np.bincount(r, weights=g, minlength=n) - 2.0 * _REG_ALPHA * st.ln_alpha
         gb = np.bincount(c, weights=g, minlength=m)
-        gp = np.bincount(u, weights=g, minlength=u_n) - 2.0 * reg_phi * st.ln_phi
+        gp = np.bincount(u, weights=g, minlength=u_n) - 2.0 * _REG_PHI * st.ln_phi
         # Normalise by answer counts so the step size is scale-free.
         na = np.maximum(np.bincount(r, minlength=n), 1)
         nb = np.maximum(np.bincount(c, minlength=m), 1)
@@ -379,7 +409,9 @@ def m_step(
                 np.clip(st.ln_beta + lr * step_b, -_LN_CLAMP, _LN_CLAMP),
                 np.clip(st.ln_phi + lr * step_p, -_LN_CLAMP, _LN_CLAMP),
             )
-            q_new, g_new = q_objective(stats, cand, eps, reg_alpha)
+            # Known flaw: this trial Q omits the φ ridge that q_cur has.
+            # Fixing it shifts every T-Crowd result (DESIGN.md §5).
+            q_new, g_new = q_objective(stats, cand, eps, _REG_ALPHA)
             if q_new >= q_cur - 1e-12:
                 accepted = True
                 break
@@ -393,7 +425,7 @@ def m_step(
         )
         st, q_cur, g = cand, q_new, g_new
         lr = min(lr * 1.3, 2.0)
-        if moved < tol:
+        if moved < _STEP_TOL:
             break
     # Renormalise the two scale freedoms into β.
     ma = st.ln_alpha.mean()
@@ -469,7 +501,6 @@ def fit_em(
     max_iter: int,
     tol: float,
     warm_state: EMState | None = None,
-    **m_step_kw,
 ) -> EMFit:
     """Algorithm 1 for any engine: priors, initial state, then E-step →
     M-step until no log-parameter moves by ``tol``.
@@ -477,7 +508,6 @@ def fit_em(
     An engine supplies its :func:`answer_moments`, its row and worker
     counts, and ``estep_stats(state, priors)``, which runs one E-step and
     returns the per-answer statistics dict that :func:`m_step` consumes.
-    ``m_step_kw`` are passed to every M-step.
     """
     if not moments:
         raise ValueError("no answers to infer from")
@@ -495,7 +525,7 @@ def fit_em(
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
-        new_state, q_val = m_step(estep_stats(state, priors), state, eps, **m_step_kw)
+        new_state, q_val = m_step(estep_stats(state, priors), state, eps)
         q_trace.append(q_val)
         moved = max(
             np.abs(new_state.ln_alpha - state.ln_alpha).max(initial=0.0),
@@ -595,9 +625,6 @@ def tcrowd_em(
     eps: float = 1.0,
     max_iter: int = 40,
     tol: float = 1e-3,
-    grad_iters: int = 25,
-    reg_alpha: float = 2.0,
-    reg_phi: float = 0.5,
     warm_state: EMState | None = None,
 ) -> TCrowdResult:
     """Full T-Crowd truth inference (Algorithm 1), in-process.
@@ -619,9 +646,6 @@ def tcrowd_em(
         max_iter=max_iter,
         tol=tol,
         warm_state=warm_state,
-        grad_iters=grad_iters,
-        reg_alpha=reg_alpha,
-        reg_phi=reg_phi,
     )
     # Final E-step with the converged parameters.
     cont_cells, cat_cells, _ = run_estep(answers, schema, fit.state, fit.priors, eps)

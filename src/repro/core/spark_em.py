@@ -170,7 +170,6 @@ def tcrowd_em_spark(
     eps: float = 1.0,
     max_iter: int = 40,
     tol: float = 1e-3,
-    grad_iters: int = 25,
 ) -> SparkEMResult:
     """Full T-Crowd EM with the E-step distributed via Spark (Algorithm 1)."""
     # The driver's column moments and the row/worker counts: one pass.
@@ -203,7 +202,6 @@ def tcrowd_em_spark(
         eps=eps,
         max_iter=max_iter,
         tol=tol,
-        grad_iters=grad_iters,
     )
     cells = spark_estep(answers, fit.state, schema, fit.priors, eps)
     truth = (

@@ -112,6 +112,9 @@ REAL_DATASETS = {
     "emotion": emotion_like,
 }
 
+#: Generator seed of replicate 0 of each dataset; replicate k adds 100·k.
+BASE_SEEDS = {"celebrity": 7, "restaurant": 11, "emotion": 13}
+
 
 # ---------------------------------------------------------------------------
 # §6.5.1 parametric generator.

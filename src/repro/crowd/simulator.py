@@ -202,7 +202,7 @@ def run_simulation(
 
     def checkpoint_metrics(df: pd.DataFrame) -> tuple[float, float]:
         if inference == "tcrowd":
-            est = res.truth if res is not None else infer(df, None, True).truth
+            est = res.truth
         elif inference == "mv":
             est = mv_median(df, schema)
         elif inference == "crh":

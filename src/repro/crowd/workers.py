@@ -107,8 +107,8 @@ def simulate_answers(
     row's workers are drawn with probability ∝ rank^(-skew). 0 = uniform.
 
     ``row_worker_pairs`` overrides the default assignment (each row answered
-    by ``n_per_task`` distinct random workers); the online simulator uses it
-    to collect answers incrementally.
+    by ``n_per_task`` distinct random workers) with explicit (row, worker)
+    HITs.
     """
     g = np.random.default_rng(seed)
     n_rows = int(truth["row"].max()) + 1

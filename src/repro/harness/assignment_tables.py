@@ -29,8 +29,6 @@ from ..core.assignment import (
 from ..crowd import datasets
 from ..crowd.simulator import SimConfig, run_simulation, world_from_dataset
 
-_BASE_SEED = {"celebrity": 7, "restaurant": 11, "emotion": 13}
-
 #: system name -> (policy factory, inference method)
 END_TO_END_SYSTEMS = {
     "T-Crowd": (lambda seed: StructureAwarePolicy(), "tcrowd"),
@@ -68,7 +66,7 @@ def _run_one(
     heuristic_mode: bool,
     config: SimConfig,
 ) -> pd.DataFrame:
-    ds = datasets.REAL_DATASETS[dataset](seed=_BASE_SEED[dataset] + 100 * seed)
+    ds = datasets.REAL_DATASETS[dataset](seed=datasets.BASE_SEEDS[dataset] + 100 * seed)
     world = world_from_dataset(ds, seed=1000 + seed)
     if heuristic_mode:
         policy, inference = HEURISTICS[system](seed), "tcrowd"

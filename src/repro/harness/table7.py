@@ -62,9 +62,6 @@ _RESULT_SCHEMA = T.StructType(
     ]
 )
 
-_BASE_SEED = {"celebrity": 7, "restaurant": 11, "emotion": 13}
-
-
 def _run_spec(spec: pd.DataFrame) -> pd.DataFrame:
     """One (dataset, seed) replicate: generate, run every method, score."""
     dataset = spec["dataset"].iloc[0]
@@ -89,7 +86,7 @@ def build_table7(spark: SparkSession, *, n_seeds: int = 5) -> pd.DataFrame:
     """Run the full Table 7 grid, fanning replicates out over Spark."""
     specs = pd.DataFrame(
         [
-            {"dataset": name, "seed": _BASE_SEED[name] + 100 * k}
+            {"dataset": name, "seed": datasets.BASE_SEEDS[name] + 100 * k}
             for name in datasets.REAL_DATASETS
             for k in range(n_seeds)
         ]

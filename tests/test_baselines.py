@@ -72,6 +72,20 @@ class TestOutputContracts:
         out = fn(easy_cont_ds.answers, easy_cont_ds.schema)
         assert out.empty
 
+    @pytest.mark.parametrize("bad", ["negative", "n_labels"])
+    @pytest.mark.parametrize(
+        "fn", [dawid_skene, zencrowd, glad], ids=["ds", "zencrowd", "glad"]
+    )
+    def test_rejects_label_outside_column(self, fn, bad, tiny_ds):
+        # -1 would index the last label; n_labels would key as a label of
+        # the next cell.
+        a = tiny_ds.answers.copy()
+        j = tiny_ds.schema.categorical_idx[0]
+        value = -1.0 if bad == "negative" else tiny_ds.schema.column(j).n_labels
+        a.loc[a.index[a["col"] == j][0], "value"] = value
+        with pytest.raises(ValueError, match="not a label"):
+            fn(a, tiny_ds.schema)
+
     def test_gtm_empty_on_categorical_table(self, easy_cat_ds):
         assert gtm(easy_cat_ds.answers, easy_cat_ds.schema).empty
 

@@ -1,12 +1,20 @@
 """Property tests (hypothesis) for categorical posteriors and their
-information gain: the dense E-step table and the batched ``_cat_ig``."""
+information gain: the dense E-step table, ``label_posteriors`` over several
+columns at once and the batched ``_cat_ig``."""
 import numpy as np
+import pandas as pd
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.assignment import _cat_ig
-from repro.core.em import CatPosterior, CatPosteriorTable, estep_categorical_column
+from repro.core.em import (
+    CatPosterior,
+    CatPosteriorTable,
+    estep_categorical_column,
+    label_posteriors,
+    row_sums,
+)
 
 _Q = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
 
@@ -159,3 +167,64 @@ class TestDenseEstepProperties:
         assert (table.entropy() >= 0).all()
         assert table.rows.tolist() == sorted(set(rows.tolist()))
         assert ((w > 0) & (w <= 1)).all()
+
+
+@st.composite
+def multi_column_answers(draw):
+    """Answers over 2–3 categorical columns with different label counts:
+    ``(rows, cols, labels, v, n_labels per column)``. Variances come from a
+    small set, so equal-evidence label ties occur."""
+    n_labels = draw(st.lists(st.integers(2, 6), min_size=2, max_size=3, unique=True))
+    n = draw(st.integers(1, 40))
+    rows = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    cols = draw(st.lists(st.integers(0, len(n_labels) - 1), min_size=n, max_size=n))
+    labels = [draw(st.integers(0, n_labels[j] - 1)) for j in cols]
+    v = draw(st.lists(st.sampled_from([0.25, 1.0, 4.0]), min_size=n, max_size=n))
+    return np.array(rows), np.array(cols), np.array(labels), np.array(v), n_labels
+
+
+def sort_decode(cells: np.ndarray, labels: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The sort-based decode Zencrowd and GLAD used before they read
+    ``table.argmax()``: per cell the answered label of highest posterior,
+    ties to the smallest label; cells in ascending order."""
+    dec = (
+        pd.DataFrame({"cell": cells, "label": labels, "p": w})
+        .groupby(["cell", "label"])["p"].max().reset_index()
+        .sort_values(["cell", "p", "label"], ascending=[True, False, True])
+        .drop_duplicates("cell", keep="first")
+        .sort_values("cell")
+    )
+    return dec["label"].to_numpy(dtype=float)
+
+
+class TestLabelPosteriorsProperties:
+    @given(multi_column_answers())
+    @settings(max_examples=200, deadline=None)
+    def test_one_call_equals_per_column_estep(self, answers):
+        rows, cols, labels, v, n_labels = answers
+        n_cols = len(n_labels)
+        q = np.zeros(len(rows))
+        per_column = {}
+        for j in np.unique(cols).tolist():
+            mask = cols == j
+            per_column[j] = estep_categorical_column(
+                rows[mask], labels[mask].astype(float), v[mask], n_labels[j], eps=1.0
+            )
+            q[mask] = per_column[j][2]
+        cells = rows * n_cols + cols
+        table, w = label_posteriors(cells, labels, q, np.array(n_labels)[cols])
+
+        total = row_sums(table.probs) + table.n_unanswered * table.p0
+        np.testing.assert_allclose(total, 1.0, rtol=0, atol=1e-12)
+        for j, (col_table, col_w, _) in per_column.items():
+            sel = table.rows % n_cols == j
+            k = col_table.probs.shape[1]
+            assert (table.rows[sel] // n_cols).tolist() == col_table.rows.tolist()
+            assert (table.probs[sel, :k] == col_table.probs).all()
+            assert (table.probs[sel, k:] == 0).all()
+            assert (table.labels[sel, :k] == col_table.labels).all()
+            assert (table.p0[sel] == col_table.p0).all()
+            assert (table.n_unanswered[sel] == col_table.n_unanswered).all()
+            assert (table.n_labels[sel] == n_labels[j]).all()
+            assert (w[cols == j] == col_w).all()
+        assert table.argmax().tolist() == sort_decode(cells, labels, w).tolist()
